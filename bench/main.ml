@@ -785,17 +785,17 @@ let run_json quick out_file =
   end
 
 (* Huge tier: `bench json huge [nodes=N] [jobs=J] [FILE]`. One
-   end-to-end production-scale run on the arena path — generate a
-   synthetic SoC, round-trip it through BLIF with the streaming
-   reader, decompose into the flat arena, map (sequentially, then
-   with the arena-parallel labeler), and verify — with every phase
-   timed and peak RSS recorded. The row lives in the same "rows"
-   schema (tier = "huge"), so `bench compare` of two huge snapshots
-   gates on its wall time exactly like the quick tier; extra fields —
-   including the whole "parallel" section, whose wall times depend on
-   the core count — are report-only. Defaults to 400k network nodes
-   (>= 1M subject nodes after NAND2-INV decomposition) and jobs=4;
-   CI smoke runs nodes=100000. *)
+   end-to-end production-scale run — generate a synthetic SoC,
+   round-trip it through BLIF with the streaming reader, decompose
+   into the flat arena, convert that to the subject graph, map
+   (sequentially, then with the level-parallel labeler), and verify —
+   with every phase timed and peak RSS recorded. The row lives in the
+   same "rows" schema (tier = "huge"), so `bench compare` of two huge
+   snapshots gates on its wall time exactly like the quick tier;
+   extra fields — including the whole "parallel" section, whose wall
+   times depend on the core count — are report-only. Defaults to 400k
+   network nodes (>= 1M subject nodes after NAND2-INV decomposition)
+   and jobs=4; CI smoke runs nodes=100000. *)
 let run_json_huge nodes jobs out_file =
   let open Dagmap_blif in
   let open Dagmap_check in
@@ -827,7 +827,7 @@ let run_json_huge nodes jobs out_file =
   let g = Arena.to_subject arena in
   let db = Matchdb.prepare (Option.get (Libraries.by_name "44-1")) in
   let r, map_wall, map_cpu =
-    Clock.time_wall_cpu (fun () -> Arena_map.map ~subject:g Mapper.Dag db arena)
+    Clock.time_wall_cpu (fun () -> Mapper.map Mapper.Dag db g)
   in
   let clean =
     Check.structural r.Mapper.netlist = []
@@ -842,14 +842,12 @@ let run_json_huge nodes jobs out_file =
     (Netlist.area r.Mapper.netlist)
     (Netlist.num_gates r.Mapper.netlist)
     (if clean then "ok" else "FAIL");
-  (* Arena-parallel labeling over the same arena: the speedup the
-     flat core exists for. Identity to the sequential arena result is
-     a hard gate (bit-equal labels, same cover); the wall/speedup
-     numbers are report-only — they measure the machine's core count
-     as much as the code. *)
+  (* Level-parallel labeling of the same subject. Identity to the
+     sequential result is a hard gate (bit-equal labels, same cover);
+     the wall/speedup numbers are report-only — they measure the
+     machine's core count as much as the code. *)
   let (rpar, par_stats), par_wall, par_cpu =
-    Clock.time_wall_cpu (fun () ->
-        Parmap.map_arena ~jobs ~subject:g Mapper.Dag db arena)
+    Clock.time_wall_cpu (fun () -> Parmap.map ~jobs Mapper.Dag db g)
   in
   let par_identical =
     rpar.Mapper.labels = r.Mapper.labels
@@ -1047,12 +1045,12 @@ let run_compare_json new_file base_file =
         Printf.printf "%-8s %-6s %-5s | %8.3fs | %8.3fs | %6.2fx | %s\n" c l
           m wb wn ratio mem)
     (rows doc_new);
-  (* Arena-parallel section (huge tier): label wall and speedup
-     depend on the machine's core count, so until a same-hardware
-     baseline is checked in this column is report-only — printed,
-     never gated. (Correctness is gated at generation time: `json
-     huge` exits nonzero unless the parallel labels are bit-identical
-     to the sequential arena pass.) *)
+  (* Parallel section (huge tier): label wall and speedup depend on
+     the machine's core count, so until a same-hardware baseline is
+     checked in this column is report-only — printed, never gated.
+     (Correctness is gated at generation time: `json huge` exits
+     nonzero unless the parallel labels are bit-identical to the
+     sequential pass.) *)
   let par_info doc =
     match Json.member "parallel" doc with
     | None -> None
@@ -1065,12 +1063,12 @@ let run_compare_json new_file base_file =
   (match par_info doc_new, par_info doc_base with
    | Some (j, ls, sp), Some (_, bls, _) ->
      Printf.printf
-       "arena-parallel label (report-only): %.3fs -> %.3fs (jobs=%d, %.2fx \
+       "parallel label (report-only): %.3fs -> %.3fs (jobs=%d, %.2fx \
         vs seq)\n"
        bls ls j sp
    | Some (j, ls, sp), None ->
      Printf.printf
-       "arena-parallel label (report-only): %.3fs (jobs=%d, %.2fx vs seq; \
+       "parallel label (report-only): %.3fs (jobs=%d, %.2fx vs seq; \
         no baseline)\n"
        ls j sp
    | None, _ -> ());

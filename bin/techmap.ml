@@ -146,7 +146,7 @@ let print_mapper_stats ~cache_enabled (run : Mapper.stats)
    node is the classic sweet spot (the bench sweeps the trade-off). *)
 let default_cut_priority = 8
 
-let run_map circuit lib_spec super_file mode_s opt recover buffer out_file verilog_file show_path verify jobs priority show_stats no_cache trace_out metrics_json arena stream =
+let run_map circuit lib_spec super_file mode_s opt recover buffer out_file verilog_file show_path verify jobs priority show_stats no_cache trace_out metrics_json stream =
   if trace_out <> None then begin
     Span.reset ();
     Span.set_enabled true
@@ -217,15 +217,6 @@ let run_map circuit lib_spec super_file mode_s opt recover buffer out_file veril
   let t0 = Clock.now () in
   let mode_name, nl, pattern_result, par_stats =
     match mode with
-    | Pattern_mode m when arena ->
-      let a = Arena.of_subject sg in
-      Printf.printf "%s\n" (Arena.stats a);
-      if jobs > 1 then
-        let result, par = Parmap.map_arena ~jobs ~cache ~subject:sg m db a in
-        (Mapper.mode_name m, result.Mapper.netlist, Some (m, result), Some par)
-      else
-        let result = Arena_map.map ~cache ~subject:sg m db a in
-        (Mapper.mode_name m, result.Mapper.netlist, Some (m, result), None)
     | Pattern_mode m ->
       let result, par =
         if jobs > 1 then
@@ -235,13 +226,11 @@ let run_map circuit lib_spec super_file mode_s opt recover buffer out_file veril
       in
       (Mapper.mode_name m, result.Mapper.netlist, Some (m, result), par)
     | Cut_mode ->
-      if jobs > 1 && not arena then
-        failwith
-          "--jobs with --mode cut needs --arena (the boxed cut mapper is \
-           sequential; the arena enumerator parallelizes level slices)";
+      (* The boxed cut mapper is sequential; the arena enumerator
+         parallelizes level slices and is bit-identical to it. *)
       let bdb = Matchdb.boolean db in
       let r, par =
-        if arena then begin
+        if jobs > 1 then begin
           let a = Arena.of_subject sg in
           Printf.printf "%s\n" (Arena.stats a);
           let r, par =
@@ -940,17 +929,6 @@ let map_cmd =
              after mapping. The registry is reset first, so the file \
              covers exactly this run.")
   in
-  let arena =
-    Arg.(
-      value & flag
-      & info [ "arena" ]
-          ~doc:
-            "Label and cover on the flat struct-of-arrays arena core \
-             instead of the boxed subject graph. Bit-identical results; \
-             with $(b,--jobs) N the labeling sweep fans dense \
-             level slices across N domains (the million-node hot \
-             path).")
-  in
   let stream =
     Arg.(
       value & flag
@@ -963,13 +941,12 @@ let map_cmd =
   let term =
     Term.(
       ret
-        (const (fun c l sf m op r b o vf p v j pr st nc tr mj ar sr ->
+        (const (fun c l sf m op r b o vf p v j pr st nc tr mj sr ->
              wrap (fun () ->
-                 run_map c l sf m op r b o vf p v j pr st nc tr mj ar sr))
+                 run_map c l sf m op r b o vf p v j pr st nc tr mj sr))
         $ circuit_arg $ lib_arg $ super_file $ mode_arg $ opt $ recover
         $ buffer $ out_file $ verilog_file $ show_path $ verify $ jobs
-        $ priority $ show_stats $ no_cache $ trace_out $ metrics_json $ arena
-        $ stream))
+        $ priority $ show_stats $ no_cache $ trace_out $ metrics_json $ stream))
   in
   Cmd.v (Cmd.info "map" ~doc:"Map a circuit onto a gate library.") term
 

@@ -74,10 +74,6 @@ let boolean db =
 
 let num_patterns db = List.length db.lib.Libraries.patterns
 
-let max_depth db = db.max_depth
-let inv_bucket db i = db.inv_buckets.(i)
-let nand_bucket db lo hi = db.nand_buckets.(lo).(hi)
-
 let cats = [| Cl; Ci; Cn |]
 
 let enumerate db cls g ~fanouts ~levels node f =

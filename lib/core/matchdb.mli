@@ -35,20 +35,6 @@ val boolean : t -> Boolean_match.t
 
 val num_patterns : t -> int
 
-val max_depth : t -> int
-(** Deepest pattern in the library, in edges; bounds every match
-    cone. *)
-
-val inv_bucket : t -> int -> Pattern.t list
-(** INV-rooted patterns whose child category index is the argument
-    (0 = leaf, 1 = inv, 2 = nand), in enumeration order. Exposed for
-    the arena-native enumerator in {!Arena_map}, which must replay
-    the exact bucket iteration order of {!for_each_node_match}. *)
-
-val nand_bucket : t -> int -> int -> Pattern.t list
-(** NAND-rooted patterns bucketed by the unordered pair of child
-    category indices, [lo <= hi]. *)
-
 type cache
 (** A match cache. Lookups are not thread-safe — the signature
     scratch state belongs to one domain at a time, so the parallel

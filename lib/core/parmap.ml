@@ -235,8 +235,9 @@ let chunk_for ~jobs len = max chunk_min (len / (jobs * 8))
 
 (* Claim dense [chunk]-sized slices of positions below [hi] through
    [cursor] (pre-set to the first position) and apply [f] to each
-   claimed position. Shared by the boxed and arena labelers — the
-   scheduling protocol is identical, only the node lookup differs. *)
+   claimed position. Shared by the labeler and the arena cut
+   enumerator — the scheduling protocol is identical, only the node
+   lookup differs. *)
 let steal_chunks ~cursor ~chunks_claimed ~chunk ~hi f =
   let rec loop () =
     let start = Atomic.fetch_and_add cursor chunk in
@@ -385,158 +386,11 @@ let map ?jobs ?cache mode db g =
           super_gates_used = Mapper.super_gates_in netlist } },
     par )
 
-(* ------------------------------------------------------------------ *)
-(* Arena-native level-parallel labeling                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* The same level-synchronous sweep as [label], but running directly
-   on the flat arena: the parallel fronts are the dense index ranges
-   of the counting-sorted [Arena.level_ranges] order array, so
-   claiming work is bumping an int cursor across a contiguous slice —
-   no per-level boxed node lists to build, no allocation on the
-   claim path — and arrival labels land in the same off-heap float
-   vector [Arena_map] uses. The determinism argument is unchanged:
-   each node is written by exactly one worker, the level barrier makes
-   lower levels visible before anyone reads them, and
-   [Arena_map.label_node] is a pure function of lower-level labels, so
-   the result is bit-identical to the sequential [Arena_map.label]
-   (and hence, via the arena differential suite, to the boxed
-   [Mapper]) no matter how the stealing interleaves. *)
-let label_arena ?jobs ?(cache = true) ?(pi_arrival = fun _ -> 0.0) mode db a =
-  let jobs =
-    match jobs with
-    | None -> recommended_jobs ()
-    | Some j -> max 1 j
-  in
-  let cls = Mapper.mode_class mode in
-  let n = Arena.num_nodes a in
-  let fanouts = Arena.fanout_counts a in
-  let levels = Arena.levels a in
-  let order, starts = Arena.level_ranges a in
-  let num_levels = Array.length starts - 1 in
-  let labels = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
-  let best : Matcher.mtch option array = Array.make n None in
-  let caches =
-    Array.init jobs (fun _ ->
-        if cache then Some (Arena_map.create_cache ()) else None)
-  in
-  let tried = Array.make jobs 0 in
-  let super_tried = Array.make jobs 0 in
-  let level_seconds = Array.make num_levels 0.0 in
-  let parallel_levels = ref 0 in
-  let chunks_claimed = Atomic.make 0 in
-  let failure : exn option Atomic.t = Atomic.make None in
-  let fanin0 = a.Arena.fanin0 in
-  let process worker node =
-    if Bigarray.Array1.unsafe_get fanin0 node < 0 then
-      Bigarray.Array1.unsafe_set labels node (pi_arrival node)
-    else begin
-      let t, st =
-        Arena_map.label_node ?cache:caches.(worker) cls db a ~fanouts ~levels
-          ~labels ~best node
-      in
-      tried.(worker) <- tried.(worker) + t;
-      super_tried.(worker) <- super_tried.(worker) + st
-    end
-  in
-  let pool = if jobs > 1 then Some (make_pool (jobs - 1)) else None in
-  Fun.protect
-    ~finally:(fun () -> Option.iter shutdown_pool pool)
-    (fun () ->
-      let run_level li =
-        let t0 = Clock.now () in
-        let lo = starts.(li) and hi = starts.(li + 1) in
-        let len = hi - lo in
-        (match pool with
-         | Some pool when len >= fanout_threshold jobs ->
-           incr parallel_levels;
-           let cursor = Atomic.make lo in
-           let chunk = chunk_for ~jobs len in
-           run_pool pool (fun w ->
-               try
-                 steal_chunks ~cursor ~chunks_claimed ~chunk ~hi (fun i ->
-                     process w order.(i))
-               with e ->
-                 ignore (Atomic.compare_and_set failure None (Some e)));
-           (match Atomic.get failure with
-            | Some e -> raise e
-            | None -> ())
-         | _ ->
-           (* The calling domain reuses the last worker slot's cache
-              so small levels still feed the same cache as large
-              ones. *)
-           for i = lo to hi - 1 do
-             process (jobs - 1) order.(i)
-           done);
-        let dt = Clock.now () -. t0 in
-        level_seconds.(li) <- dt;
-        Metrics.Histogram.observe (Metrics.histogram "parmap.level_seconds") dt
-      in
-      for li = 0 to num_levels - 1 do
-        if Span.is_enabled () then
-          Span.with_span ~cat:"parmap"
-            (Printf.sprintf "level %d (%d nodes)" li
-               (starts.(li + 1) - starts.(li)))
-            (fun () -> run_level li)
-        else run_level li
-      done);
-  let tried = Array.fold_left ( + ) 0 tried in
-  let super_tried = Array.fold_left ( + ) 0 super_tried in
-  let hits, misses, lookups =
-    Array.fold_left
-      (fun (h, m, l) c ->
-        match c with
-        | None -> (h, m, l)
-        | Some c ->
-          ( h + Arena_map.cache_hits c,
-            m + Arena_map.cache_misses c,
-            l + Arena_map.cache_lookups c ))
-      (0, 0, 0) caches
-  in
-  let widest_level = ref 0 in
-  for l = 0 to num_levels - 1 do
-    widest_level := max !widest_level (starts.(l + 1) - starts.(l))
-  done;
-  Metrics.Counter.add (Metrics.counter "parmap.chunks") (Atomic.get chunks_claimed);
-  Metrics.Counter.add (Metrics.counter "parmap.parallel_levels") !parallel_levels;
-  let stats =
-    { domains = jobs;
-      levels = num_levels;
-      widest_level = !widest_level;
-      level_seconds;
-      parallel_levels = !parallel_levels;
-      chunks = Atomic.get chunks_claimed }
-  in
-  (labels, best, (tried, super_tried, hits, misses, lookups), stats)
-
+(* The arena keeps no labeler of its own: it is converted to the boxed
+   subject graph at this boundary (or the caller's boxed view is
+   reused), so there is one DAG labeler and one cover. *)
 let map_arena ?jobs ?cache ?subject mode db a =
   let subject =
     match subject with Some s -> s | None -> Arena.to_subject a
   in
-  let t0 = Clock.now () in
-  let labels, best, (tried, super_tried, hits, misses, lookups), par =
-    Span.with_span ~cat:"parmap" "label" (fun () ->
-        label_arena ?jobs ?cache mode db a)
-  in
-  let t1 = Clock.now () in
-  let netlist =
-    Span.with_span ~cat:"parmap" "cover" (fun () ->
-        Arena_map.cover a ~subject best)
-  in
-  let t2 = Clock.now () in
-  let labels_arr =
-    Array.init (Bigarray.Array1.dim labels) (Bigarray.Array1.unsafe_get labels)
-  in
-  ( { Mapper.netlist;
-      labels = labels_arr;
-      best;
-      run =
-        { Mapper.label_seconds = t1 -. t0;
-          cover_seconds = t2 -. t1;
-          matches_tried = tried;
-          super_matches_tried = super_tried;
-          cache_hits = hits;
-          cache_misses = misses;
-          cache_lookups = lookups;
-          super_gates_used = Mapper.super_gates_in netlist } },
-    par )
+  map ?jobs ?cache mode db subject

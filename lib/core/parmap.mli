@@ -64,8 +64,8 @@ val steal_chunks :
 (** Claim dense [chunk]-sized slices of positions below [hi] through
     [cursor] (pre-set by the caller to the first position) and apply
     the callback to each claimed position — the work-stealing
-    protocol shared by every level-parallel sweep (boxed labeler,
-    arena labeler, arena cut enumerator). Callbacks must not raise;
+    protocol shared by every level-parallel sweep (the labeler and
+    the arena cut enumerator). Callbacks must not raise;
     trap exceptions into an [Atomic.t] and re-raise after the
     barrier, as {!label} does. *)
 
@@ -162,34 +162,6 @@ val map :
     seconds from the same {!Dagmap_obs.Clock} the sequential mapper
     uses, so 1-vs-N-domain comparisons are on one time base. *)
 
-(** {1 Arena-native labeling}
-
-    The same level-synchronous sweep running directly on the flat
-    {!Arena}: parallel fronts are dense index ranges of the
-    counting-sorted {!Arena.level_ranges} order array (workers claim
-    contiguous [int] slices through the atomic cursor — no per-level
-    boxed node lists, no allocation on the claim path), and arrival
-    labels land in the off-heap {!Arena_map.labels} vector. This is
-    the million-node hot path: [techmap map --arena --jobs N] and the
-    huge bench tier label here. *)
-
-val label_arena :
-  ?jobs:int ->
-  ?cache:bool ->
-  ?pi_arrival:(int -> float) ->
-  Mapper.mode ->
-  Matchdb.t ->
-  Arena.t ->
-  Arena_map.labels
-  * Matcher.mtch option array
-  * (int * int * int * int * int)
-  * par_stats
-(** Parallel arena labeling pass; mirrors {!label} ([cache] enables
-    one private {!Arena_map.cache} per worker). Bit-identical to the
-    sequential {!Arena_map.label} — same labels, best matches and
-    matches-tried counts — for every [jobs]; raises
-    {!Mapper.Unmappable} exactly when it would. *)
-
 val map_arena :
   ?jobs:int ->
   ?cache:bool ->
@@ -198,8 +170,7 @@ val map_arena :
   Matchdb.t ->
   Arena.t ->
   Mapper.result * par_stats
-(** Parallel arena labeling + sequential {!Arena_map.cover},
-    returning a plain {!Mapper.result} like {!Arena_map.map} (which
-    it is bit-identical to, jobs notwithstanding). [subject] avoids a
-    redundant {!Arena.to_subject} when the caller already holds the
-    boxed view; it must describe the same graph. *)
+(** {!map} on a flat {!Arena}: the arena is converted with
+    {!Arena.to_subject} at this boundary, or [subject] is used when
+    the caller already holds the boxed view (it must describe the
+    same graph). The result is the one {!map} gives on that subject. *)

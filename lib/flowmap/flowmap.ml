@@ -15,19 +15,13 @@ type cover = {
   lut_outputs : (string * int) list;
 }
 
-(* The cone walk and the flow construction only need fanin lists and a
-   leaf test, so they are parameterized over those two functions: the
-   boxed [Subject.t] path and the flat [Arena.t] path share them
-   exactly, which is what makes [label_arena] equal to [map]'s labels
-   by construction. *)
-
 (* Fanin cone of [t] (inclusive), using timestamped marks to avoid
    re-allocating visited arrays per node. Explicit enter/exit stack
    (not recursion): cones are as deep as the subject graph, which is
    unbounded. The emitted order is the recursive post-order reversed
    — t first — and feeds the flow-network construction, so it must
    stay byte-stable for the cut choice to stay deterministic. *)
-let cone_of ~fanins marks stamp t =
+let cone_of g marks stamp t =
   let acc = ref [] in
   let stack = Stack.create () in
   Stack.push (t, false) stack;
@@ -37,7 +31,8 @@ let cone_of ~fanins marks stamp t =
     else if marks.(u) <> stamp then begin
       marks.(u) <- stamp;
       Stack.push (u, true) stack;
-      List.iter (fun f -> Stack.push (f, false) stack) (List.rev (fanins u))
+      List.iter (fun f -> Stack.push (f, false) stack)
+        (List.rev (Subject.fanins g u))
     end
   done;
   !acc
@@ -45,7 +40,7 @@ let cone_of ~fanins marks stamp t =
 (* Decide whether the cone of [t] admits a k-feasible cut of height
    [p - 1], i.e. with all label-p nodes (and t) collapsed into the
    sink; returns the cut as subject nodes if it exists. *)
-let feasible_cut ~fanins ~is_pi labels k cone t p =
+let feasible_cut g labels k cone t p =
   let collapsed u = u = t || labels.(u) = p in
   let locals = List.filter (fun u -> not (collapsed u)) cone in
   let index = Hashtbl.create 64 in
@@ -58,7 +53,7 @@ let feasible_cut ~fanins ~is_pi labels k cone t p =
     (fun u ->
       let i = Hashtbl.find index u in
       Maxflow.add_edge net (v_in i) (v_out i) 1;
-      if is_pi u then
+      if Subject.kind g u = Subject.Spi then
         Maxflow.add_edge net source (v_in i) Maxflow.infinite)
     locals;
   (* Edges of the cone. Every cone node except PIs has its fanins in
@@ -75,7 +70,7 @@ let feasible_cut ~fanins ~is_pi labels k cone t p =
           match src with
           | None -> ()
           | Some s -> List.iter (fun tgt -> Maxflow.add_edge net s tgt Maxflow.infinite) targets)
-        (fanins u))
+        (Subject.fanins g u))
     cone;
   let flow = Maxflow.max_flow_bounded net ~source ~sink ~bound:k in
   if flow > k then None
@@ -96,8 +91,6 @@ let feasible_cut ~fanins ~is_pi labels k cone t p =
 let map ~k g =
   if k < 2 then invalid_arg "Flowmap.map: k must be >= 2";
   let n = Subject.num_nodes g in
-  let fanins u = Subject.fanins g u in
-  let is_pi u = Subject.kind g u = Subject.Spi in
   let labels = Array.make n 0 in
   let cuts = Array.make n [||] in
   let marks = Array.make n (-1) in
@@ -105,20 +98,20 @@ let map ~k g =
     match Subject.kind g t with
     | Spi -> labels.(t) <- 0
     | Snand _ | Sinv _ ->
-      let cone = cone_of ~fanins marks t t in
+      let cone = cone_of g marks t t in
       let p =
         List.fold_left
           (fun acc u -> if u = t then acc else max acc labels.(u))
           0 cone
       in
-      let direct = Array.of_list (fanins t) in
+      let direct = Array.of_list (Subject.fanins g t) in
       if p = 0 then begin
         (* Whole cone is PIs: the direct fanins are the only cut. *)
         labels.(t) <- 1;
         cuts.(t) <- direct
       end
       else begin
-        match feasible_cut ~fanins ~is_pi labels k cone t p with
+        match feasible_cut g labels k cone t p with
         | Some cut ->
           labels.(t) <- p;
           cuts.(t) <- cut
@@ -303,38 +296,6 @@ let to_network cover =
       Network.add_po net name id)
     g.Subject.const_outputs;
   net
-
-let label_arena ~k a =
-  if k < 2 then invalid_arg "Flowmap.label_arena: k must be >= 2";
-  let open Dagmap_core in
-  let n = Arena.num_nodes a in
-  let fanins u =
-    let f0 = Arena.fanin0 a u in
-    if f0 < 0 then []
-    else
-      let f1 = Arena.fanin1 a u in
-      if f1 < 0 then [ f0 ] else [ f0; f1 ]
-  in
-  let is_pi u = Arena.is_pi a u in
-  let labels = Array.make n 0 in
-  let marks = Array.make n (-1) in
-  for t = 0 to n - 1 do
-    if not (is_pi t) then begin
-      let cone = cone_of ~fanins marks t t in
-      let p =
-        List.fold_left
-          (fun acc u -> if u = t then acc else max acc labels.(u))
-          0 cone
-      in
-      if p = 0 then labels.(t) <- 1
-      else begin
-        match feasible_cut ~fanins ~is_pi labels k cone t p with
-        | Some _ -> labels.(t) <- p
-        | None -> labels.(t) <- p + 1
-      end
-    end
-  done;
-  labels
 
 let check_labels_optimal cover =
   let g = cover.graph in

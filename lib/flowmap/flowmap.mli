@@ -32,14 +32,6 @@ val map : k:int -> Subject.t -> cover
 (** Depth-optimal k-LUT mapping. Raises [Invalid_argument] for
     [k < 2]. *)
 
-val label_arena : k:int -> Dagmap_core.Arena.t -> int array
-(** The labeling phase of {!map} run directly on the flat arena's int
-    fanin vectors — no boxed kinds, no [Subject.t]. Shares the cone
-    walk and max-flow construction with {!map} (both are parameterized
-    over the same fanin accessors), so on [Arena.of_subject g] the
-    result equals [(map ~k g).labels] element-for-element, which
-    [test/test_flowmap.ml] locks down. *)
-
 val depth : cover -> int
 (** Worst output label (number of LUT levels on the critical path). *)
 

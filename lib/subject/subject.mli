@@ -78,7 +78,7 @@ end
 (** The NAND2-INV decomposition, generic over the node store. Two
     backends driven through [Decompose] with equivalent [BUILD_OPS]
     produce structurally identical graphs — this is the contract the
-    arena differential suite locks down. *)
+    arena conversion tests lock down. *)
 module Decompose (B : BUILD_OPS) : sig
   val run : ?style:style -> B.b -> Network.t -> unit
   (** Decompose [net] into [b]: PIs (declaration order, then latch

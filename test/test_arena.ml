@@ -1,8 +1,8 @@
-(* Arena differential suite: the flat struct-of-arrays core must be
-   indistinguishable from the legacy record-based path — conversion
-   round-trips exactly, derived arrays agree, and arena-backed mapping
-   is bit-identical (labels, best matches, cover structure, stats)
-   across the full mode x jobs x cache x library matrix. *)
+(* Arena suite: the flat struct-of-arrays subject store must be
+   indistinguishable from the boxed subject graph — conversion
+   round-trips exactly and derived arrays agree — and mapping through
+   the arena boundary ({!Parmap.map_arena}) must reproduce the golden
+   label and netlist digests that every DAG engine is held to. *)
 
 open Dagmap_genlib
 open Dagmap_subject
@@ -67,8 +67,8 @@ let same_best (b1 : Matcher.mtch option array) (b2 : Matcher.mtch option array) 
          match m1, m2 with
          | None, None -> true
          | Some m1, Some m2 ->
-           (* Physically the same pattern: both paths enumerate out of
-              the same Matchdb buckets. *)
+           (* Physically the same pattern: both runs enumerate out of
+              the same prepared library. *)
            m1.Matcher.pattern == m2.Matcher.pattern
            && m1.Matcher.pins = m2.Matcher.pins
            && m1.Matcher.covered = m2.Matcher.covered
@@ -87,31 +87,20 @@ let same_netlist (n1 : Netlist.t) (n2 : Netlist.t) =
        n1.Netlist.instances n2.Netlist.instances
   && n1.Netlist.outputs = n2.Netlist.outputs
 
-(* The core bit-identity assertion: legacy result vs arena result. *)
-let check_same_result name (seq : Mapper.result) (am : Mapper.result) =
-  check tbool (name ^ " labels") true (seq.Mapper.labels = am.Mapper.labels);
-  check tbool (name ^ " best") true (same_best seq.Mapper.best am.Mapper.best);
+(* Bit-identity of two mapping results. Cache hit/miss splits are
+   not compared: which worker's cache sees a structure first depends
+   on the schedule; only totals of work done are schedule-independent. *)
+let check_same_result name (expected : Mapper.result) (got : Mapper.result) =
+  check tbool (name ^ " labels") true (expected.Mapper.labels = got.Mapper.labels);
+  check tbool (name ^ " best") true
+    (same_best expected.Mapper.best got.Mapper.best);
   check tbool (name ^ " netlist") true
-    (same_netlist seq.Mapper.netlist am.Mapper.netlist);
-  check (Alcotest.float 0.0) (name ^ " delay") (Mapper.optimal_delay seq)
-    (Mapper.optimal_delay am);
-  check (Alcotest.float 0.0) (name ^ " area")
-    (Netlist.area seq.Mapper.netlist)
-    (Netlist.area am.Mapper.netlist);
-  check tint (name ^ " matches tried") seq.Mapper.run.Mapper.matches_tried
-    am.Mapper.run.Mapper.matches_tried;
+    (same_netlist expected.Mapper.netlist got.Mapper.netlist);
+  check tint (name ^ " matches tried") expected.Mapper.run.Mapper.matches_tried
+    got.Mapper.run.Mapper.matches_tried;
   check tint (name ^ " super matches tried")
-    seq.Mapper.run.Mapper.super_matches_tried
-    am.Mapper.run.Mapper.super_matches_tried;
-  check tint (name ^ " super gates used")
-    seq.Mapper.run.Mapper.super_gates_used
-    am.Mapper.run.Mapper.super_gates_used;
-  check tint (name ^ " cache lookups") seq.Mapper.run.Mapper.cache_lookups
-    am.Mapper.run.Mapper.cache_lookups;
-  check tint (name ^ " cache hits") seq.Mapper.run.Mapper.cache_hits
-    am.Mapper.run.Mapper.cache_hits;
-  check tint (name ^ " cache misses") seq.Mapper.run.Mapper.cache_misses
-    am.Mapper.run.Mapper.cache_misses
+    expected.Mapper.run.Mapper.super_matches_tried
+    got.Mapper.run.Mapper.super_matches_tried
 
 (* ------------------------------------------------------------------ *)
 (* Conversion round-trips                                              *)
@@ -246,176 +235,255 @@ let test_derived_arrays () =
     (fixed_circuits ())
 
 (* ------------------------------------------------------------------ *)
-(* Differential mapping matrix                                         *)
+(* Golden digests                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let test_matrix_sequential () =
+(* Every DAG engine must reproduce these digests. A digest covers the
+   exact bits of every label, and every cover instance (gate, input
+   drivers, subject root, covered nodes) plus the output drivers, so
+   any change to labeling order, tie-breaking or cover construction
+   shows up as a mismatch. Matches tried are pinned too: a faster
+   matcher must still consider the same matches. *)
+
+let labels_digest (r : Mapper.result) =
+  let b = Buffer.create (16 * Array.length r.Mapper.labels) in
+  Array.iter
+    (fun l -> Buffer.add_string b (Printf.sprintf "%Lx;" (Int64.bits_of_float l)))
+    r.Mapper.labels;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let netlist_digest (r : Mapper.result) =
+  let nl = r.Mapper.netlist in
+  let b = Buffer.create 4096 in
+  let driver = function
+    | Netlist.D_pi i -> Printf.bprintf b "p%d," i
+    | Netlist.D_gate i -> Printf.bprintf b "g%d," i
+    | Netlist.D_const c -> Printf.bprintf b "c%b," c
+  in
+  Array.iter
+    (fun (i : Netlist.instance) ->
+      Printf.bprintf b "%d:%s(" i.Netlist.inst_id i.Netlist.gate.Gate.gate_name;
+      Array.iter driver i.Netlist.inputs;
+      Printf.bprintf b ")@%d[" i.Netlist.subject_root;
+      Array.iter (Printf.bprintf b "%d,") i.Netlist.covers;
+      Buffer.add_string b "]\n")
+    nl.Netlist.instances;
   List.iter
-    (fun (cname, net) ->
-      let g = Subject.of_network net in
-      let a = Arena.of_subject g in
-      List.iter
-        (fun lib ->
-          let db = Matchdb.prepare lib in
-          List.iter
+    (fun (name, d) ->
+      Printf.bprintf b "%s=" name;
+      driver d)
+    nl.Netlist.outputs;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* One golden row per circuit x library x mode. *)
+let golden_runs () =
+  let subjects =
+    List.map (fun (name, net) -> (name, Subject.of_network net))
+      (fixed_circuits ())
+  in
+  List.concat_map
+    (fun lib ->
+      let db = Matchdb.prepare lib in
+      List.concat_map
+        (fun (cname, g) ->
+          List.map
             (fun mode ->
-              List.iter
-                (fun cache ->
-                  let name =
-                    Printf.sprintf "%s/%s/%s cache=%b" cname
-                      lib.Libraries.lib_name (Mapper.mode_name mode) cache
-                  in
-                  let seq = Mapper.map ~cache mode db g in
-                  let am = Arena_map.map ~cache ~subject:g mode db a in
-                  check_same_result name seq am)
-                [ true; false ])
+              ( Printf.sprintf "%s/%s/%s" cname lib.Libraries.lib_name
+                  (Mapper.mode_name mode),
+                g, db, mode ))
             modes)
-        (libs ()))
-    (fixed_circuits ())
+        subjects)
+    (libs ())
 
-let test_matrix_parallel () =
-  List.iter
-    (fun (cname, net) ->
-      let g = Subject.of_network net in
-      let a = Arena.of_subject g in
-      List.iter
-        (fun lib ->
-          let db = Matchdb.prepare lib in
-          List.iter
-            (fun mode ->
-              List.iter
-                (fun cache ->
-                  let am = Arena_map.map ~cache ~subject:g mode db a in
-                  List.iter
-                    (fun jobs ->
-                      let par, _ = Parmap.map ~jobs ~cache mode db g in
-                      let name =
-                        Printf.sprintf "%s/%s/%s jobs=%d cache=%b" cname
-                          lib.Libraries.lib_name (Mapper.mode_name mode) jobs
-                          cache
-                      in
-                      check tbool (name ^ " labels") true
-                        (par.Mapper.labels = am.Mapper.labels);
-                      check tbool (name ^ " best") true
-                        (same_best par.Mapper.best am.Mapper.best);
-                      check tbool (name ^ " netlist") true
-                        (same_netlist par.Mapper.netlist am.Mapper.netlist))
-                    [ 1; 2; 4 ])
-                [ true; false ])
-            modes)
-        [ Libraries.minimal (); Libraries.lib2_like () ])
-    [ ("ks16", Generators.kogge_stone_adder 16);
-      ("mult4", Generators.array_multiplier 4) ]
-
-(* Parallel-arena vs sequential-arena: labels, best matches, netlist
-   and the deterministic counters must be bit-identical for any job
-   count. Cache hit/miss splits are NOT compared — which worker's
-   cache sees a structure first depends on the schedule (and even
-   sequentially on visit order); only totals of work done are
-   schedule-independent. *)
-let check_par_arena name (am : Mapper.result) (par : Mapper.result) =
-  check tbool (name ^ " labels") true (par.Mapper.labels = am.Mapper.labels);
-  check tbool (name ^ " best") true (same_best par.Mapper.best am.Mapper.best);
-  check tbool (name ^ " netlist") true
-    (same_netlist par.Mapper.netlist am.Mapper.netlist);
-  check (Alcotest.float 0.0) (name ^ " delay") (Mapper.optimal_delay am)
-    (Mapper.optimal_delay par);
-  check (Alcotest.float 0.0) (name ^ " area")
-    (Netlist.area am.Mapper.netlist)
-    (Netlist.area par.Mapper.netlist);
-  check tint (name ^ " matches tried") am.Mapper.run.Mapper.matches_tried
-    par.Mapper.run.Mapper.matches_tried;
-  check tint (name ^ " super matches tried")
-    am.Mapper.run.Mapper.super_matches_tried
-    par.Mapper.run.Mapper.super_matches_tried;
-  check tint (name ^ " super gates used")
-    am.Mapper.run.Mapper.super_gates_used
-    par.Mapper.run.Mapper.super_gates_used
-
-(* The tentpole matrix: Parmap.map_arena (dense level slices across
-   domains) = Arena_map.map (sequential) = Mapper.map (boxed), across
-   mode x jobs x cache x library. *)
-let test_matrix_parallel_arena () =
-  List.iter
-    (fun (cname, net) ->
-      let g = Subject.of_network net in
-      let a = Arena.of_subject g in
-      List.iter
-        (fun lib ->
-          let db = Matchdb.prepare lib in
-          List.iter
-            (fun mode ->
-              let boxed = Mapper.map mode db g in
-              List.iter
-                (fun cache ->
-                  let am = Arena_map.map ~cache ~subject:g mode db a in
-                  List.iter
-                    (fun jobs ->
-                      let name =
-                        Printf.sprintf "%s/%s/%s jobs=%d cache=%b" cname
-                          lib.Libraries.lib_name (Mapper.mode_name mode) jobs
-                          cache
-                      in
-                      let par, _ =
-                        Parmap.map_arena ~jobs ~cache ~subject:g mode db a
-                      in
-                      check_par_arena name am par;
-                      check tbool (name ^ " = boxed labels") true
-                        (par.Mapper.labels = boxed.Mapper.labels))
-                    [ 1; 2; 4 ])
-                [ true; false ])
-            modes)
-        [ Libraries.lib44_1_like (); Libraries.lib2_like () ])
-    [ ("ks16", Generators.kogge_stone_adder 16);
-      ("mult4", Generators.array_multiplier 4) ]
-
-(* Without ~subject the arena converts back through to_subject; the
-   netlist must still be structurally identical. *)
-let test_map_without_subject () =
-  let net = Generators.kogge_stone_adder 16 in
-  let g = Subject.of_network net in
-  let a = Arena.of_network net in
-  let db = Matchdb.prepare (Libraries.lib2_like ()) in
-  let seq = Mapper.map Mapper.Dag db g in
-  let am = Arena_map.map Mapper.Dag db a in
-  check_same_result "to_subject path" seq am;
-  check tbool "source round-trips" true
-    (same_subject g am.Mapper.netlist.Netlist.source)
-
-(* Supergate-augmented library: the arena path must agree through the
-   bigger pattern space too. *)
-let test_matrix_super () =
+(* The supergate row: 44-1 augmented with its small supergates. *)
+let golden_super () =
   let base = Libraries.lib44_1_like () in
   let bounds = { Superenum.default_bounds with max_pins = 4; max_size = 3 } in
   let sgl, _ = Superlib.make ~bounds base in
-  let aug = Superlib.augment base sgl in
-  let db = Matchdb.prepare aug in
-  let net = Generators.kogge_stone_adder 16 in
-  let g = Subject.of_network net in
-  let a = Arena.of_subject g in
-  List.iter
-    (fun mode ->
+  let db = Matchdb.prepare (Superlib.augment base sgl) in
+  ( "ks16/44-1+super/dag",
+    Subject.of_network (Generators.kogge_stone_adder 16),
+    db, Mapper.Dag )
+
+(* key -> (labels digest, netlist digest, matches tried). Recorded
+   while two independent DAG engines existed (the boxed Mapper/Parmap
+   and an arena-native port), cached and uncached, jobs 1/2/4, all in
+   agreement. *)
+let golden =
+  [ ( "adder16/minimal/tree",
+      ("e2910679773d8321e1ad35ca32318ad5",
+       "574396bd0d639de4096cf6c8bd84fb1e", 352) );
+    ( "adder16/minimal/dag",
+      ("e2910679773d8321e1ad35ca32318ad5",
+       "574396bd0d639de4096cf6c8bd84fb1e", 352) );
+    ( "adder16/minimal/dag-extended",
+      ("e2910679773d8321e1ad35ca32318ad5",
+       "574396bd0d639de4096cf6c8bd84fb1e", 352) );
+    ( "ks16/minimal/tree",
+      ("fd220c2bb4b0fa66f55500cf3a665d78",
+       "b40cb7baca5d016ffd9bdf7c4d82f0c1", 759) );
+    ( "ks16/minimal/dag",
+      ("fd220c2bb4b0fa66f55500cf3a665d78",
+       "b40cb7baca5d016ffd9bdf7c4d82f0c1", 759) );
+    ( "ks16/minimal/dag-extended",
+      ("fd220c2bb4b0fa66f55500cf3a665d78",
+       "b40cb7baca5d016ffd9bdf7c4d82f0c1", 759) );
+    ( "cla16/minimal/tree",
+      ("fa3f3a4f8df9ecfe763e7ec00bbb9f41",
+       "60708fb70a818c8a4a59b32002a914e1", 524) );
+    ( "cla16/minimal/dag",
+      ("fa3f3a4f8df9ecfe763e7ec00bbb9f41",
+       "60708fb70a818c8a4a59b32002a914e1", 524) );
+    ( "cla16/minimal/dag-extended",
+      ("fa3f3a4f8df9ecfe763e7ec00bbb9f41",
+       "60708fb70a818c8a4a59b32002a914e1", 524) );
+    ( "mult4/minimal/tree",
+      ("2be816c4e2416293cd4a9d9ad437cee3",
+       "9c96d341e4fbf0129b0101992c6c9744", 249) );
+    ( "mult4/minimal/dag",
+      ("2be816c4e2416293cd4a9d9ad437cee3",
+       "9c96d341e4fbf0129b0101992c6c9744", 249) );
+    ( "mult4/minimal/dag-extended",
+      ("2be816c4e2416293cd4a9d9ad437cee3",
+       "9c96d341e4fbf0129b0101992c6c9744", 249) );
+    ( "adder16/44-1/tree",
+      ("e2910679773d8321e1ad35ca32318ad5",
+       "574396bd0d639de4096cf6c8bd84fb1e", 352) );
+    ( "adder16/44-1/dag",
+      ("1e9458b4485439714793409c0e85187c",
+       "d43caa2ed947534ecc27c6a5151a68b4", 476) );
+    ( "adder16/44-1/dag-extended",
+      ("1e9458b4485439714793409c0e85187c",
+       "d43caa2ed947534ecc27c6a5151a68b4", 476) );
+    ( "ks16/44-1/tree",
+      ("9f8e799c817a9151a5ceede829197335",
+       "e137367d39fc83fd1eee7c6f69401cec", 991) );
+    ( "ks16/44-1/dag",
+      ("5a977ab0e48597cfff3e30711252887c",
+       "919213d1991c1edf1e628ba9622bde11", 3769) );
+    ( "ks16/44-1/dag-extended",
+      ("5a977ab0e48597cfff3e30711252887c",
+       "919213d1991c1edf1e628ba9622bde11", 3769) );
+    ( "cla16/44-1/tree",
+      ("c9610d2f3a536518af3c86e3ac12c71b",
+       "a70184b6561ec55d9c3b877e5a46558c", 788) );
+    ( "cla16/44-1/dag",
+      ("c92aea1834aab0ba4c345c69eb96c064",
+       "a2fb5214d008d6a2eb28ec9a7aaee859", 1416) );
+    ( "cla16/44-1/dag-extended",
+      ("c92aea1834aab0ba4c345c69eb96c064",
+       "a2fb5214d008d6a2eb28ec9a7aaee859", 1416) );
+    ( "mult4/44-1/tree",
+      ("2be816c4e2416293cd4a9d9ad437cee3",
+       "9c96d341e4fbf0129b0101992c6c9744", 249) );
+    ( "mult4/44-1/dag",
+      ("11014a887f68dc185f5dcd9ed22cd5d7",
+       "0030d5b33297c950cea17b953c5e008f", 699) );
+    ( "mult4/44-1/dag-extended",
+      ("11014a887f68dc185f5dcd9ed22cd5d7",
+       "0030d5b33297c950cea17b953c5e008f", 699) );
+    ( "adder16/lib2/tree",
+      ("fb27eaed18f7a1d35211adef1b4b392e",
+       "4d954e22eaac89e1c17b5618a4634de1", 992) );
+    ( "adder16/lib2/dag",
+      ("66b1c764e7018e8bf9ad8aa5e5b64511",
+       "1e132f3c245b39f5ba393780dcf53152", 1546) );
+    ( "adder16/lib2/dag-extended",
+      ("66b1c764e7018e8bf9ad8aa5e5b64511",
+       "1e132f3c245b39f5ba393780dcf53152", 1546) );
+    ( "ks16/lib2/tree",
+      ("abf4932e4f0bc782d4b27986cdaab02c",
+       "a5b08ebd3cacef5093ae65f62ce888a7", 2009) );
+    ( "ks16/lib2/dag",
+      ("52ea2efa988b3544984aec66dae92b85",
+       "11d3f53da2b4b5a374b5c6e37bcb18d9", 7720) );
+    ( "ks16/lib2/dag-extended",
+      ("52ea2efa988b3544984aec66dae92b85",
+       "11d3f53da2b4b5a374b5c6e37bcb18d9", 7720) );
+    ( "cla16/lib2/tree",
+      ("30ff7d24f531e1ca002d04f742e70941",
+       "28d9e6d3e793b321094269ea8f6ca9d2", 1628) );
+    ( "cla16/lib2/dag",
+      ("3843806ccd2867f595c58f1fbea3600c",
+       "bdeb0ef4d6b056c2c75fa7b0d17775ac", 3281) );
+    ( "cla16/lib2/dag-extended",
+      ("75dbb14b8acb2e8fab4390280cd5a923",
+       "d06519383c10f5fc898426e17d8f1f78", 3409) );
+    ( "mult4/lib2/tree",
+      ("1e6936e6cc7e050939a9fcc840076e8b",
+       "6d0c3062650c7427fbd5db3eeed6f333", 570) );
+    ( "mult4/lib2/dag",
+      ("1312c13148ef658725dde8c146519408",
+       "ae6976843ed4545f32b0f08d46987ca0", 1621) );
+    ( "mult4/lib2/dag-extended",
+      ("1312c13148ef658725dde8c146519408",
+       "ae6976843ed4545f32b0f08d46987ca0", 1621) );
+    ( "ks16/44-1+super/dag",
+      ("732322813ec9e0c6c27f20242bf4081b",
+       "8f16bb29bb847d67ec00466db979ad76", 5297) ) ]
+
+let check_golden ?(run = "") key (r : Mapper.result) =
+  let labels, netlist, tried = List.assoc key golden in
+  let name = key ^ run in
+  let tstring = Alcotest.string in
+  check tstring (name ^ " labels digest") labels (labels_digest r);
+  check tstring (name ^ " netlist digest") netlist (netlist_digest r);
+  check tint (name ^ " matches tried") tried r.Mapper.run.Mapper.matches_tried
+
+let for_each_golden f =
+  List.iter (fun (key, g, db, mode) -> f key g db mode) (golden_runs ())
+
+let test_golden_sequential () =
+  for_each_golden (fun key g db mode ->
       List.iter
         (fun cache ->
-          let name =
-            Printf.sprintf "super/%s cache=%b" (Mapper.mode_name mode) cache
-          in
-          let seq = Mapper.map ~cache mode db g in
-          let am = Arena_map.map ~cache ~subject:g mode db a in
-          check_same_result name seq am;
-          if mode = Mapper.Dag then
-            check tbool (name ^ " supergates actually used") true
-              (am.Mapper.run.Mapper.super_gates_used > 0);
-          (* The parallel arena labeler must agree through the bigger
-             supergate pattern space too. *)
-          List.iter
-            (fun jobs ->
-              let par, _ = Parmap.map_arena ~jobs ~cache ~subject:g mode db a in
-              check_par_arena (Printf.sprintf "%s jobs=%d" name jobs) am par)
-            [ 2; 4 ])
+          check_golden ~run:(Printf.sprintf " cache=%b" cache) key
+            (Mapper.map ~cache mode db g))
         [ true; false ])
-    modes
 
+let test_golden_parallel () =
+  for_each_golden (fun key g db mode ->
+      List.iter
+        (fun jobs ->
+          check_golden ~run:(Printf.sprintf " jobs=%d" jobs) key
+            (fst (Parmap.map ~jobs mode db g)))
+        [ 1; 2; 4 ])
+
+let test_golden_arena () =
+  for_each_golden (fun key g db mode ->
+      let a = Arena.of_subject g in
+      List.iter
+        (fun jobs ->
+          check_golden ~run:(Printf.sprintf " arena jobs=%d" jobs) key
+            (fst (Parmap.map_arena ~jobs ~subject:g mode db a)))
+        [ 1; 2; 4 ])
+
+(* Without ~subject the arena is converted back through to_subject at
+   the boundary; the mapping and its source graph must not change. *)
+let test_golden_to_subject () =
+  for_each_golden (fun key g db mode ->
+      let r, _ = Parmap.map_arena mode db (Arena.of_subject g) in
+      check_golden key r;
+      check tbool (key ^ " source round-trips") true
+        (same_subject g r.Mapper.netlist.Netlist.source))
+
+let test_golden_super () =
+  let key, g, db, mode = golden_super () in
+  let seq = Mapper.map mode db g in
+  check_golden key seq;
+  check tbool (key ^ " supergates actually used") true
+    (seq.Mapper.run.Mapper.super_gates_used > 0);
+  List.iter
+    (fun jobs ->
+      check_golden ~run:(Printf.sprintf " jobs=%d" jobs) key
+        (fst (Parmap.map ~jobs mode db g));
+      check_golden ~run:(Printf.sprintf " arena jobs=%d" jobs) key
+        (fst (Parmap.map_arena ~jobs ~subject:g mode db (Arena.of_subject g))))
+    [ 1; 2 ]
+
+(* Random circuits have no golden row: mapping through the arena
+   boundary must equal the boxed mapper, and the cover must audit
+   clean. *)
 let qc_differential =
   QCheck.Test.make ~count:12
     ~name:"arena mapping = legacy mapping on random circuits (audited)"
@@ -423,65 +491,17 @@ let qc_differential =
     (fun seed ->
       let net = Generators.random_dag ~seed ~inputs:8 ~outputs:4 ~nodes:70 () in
       let g = Subject.of_network net in
-      let a = Arena.of_subject g in
+      let a = Arena.of_network net in
       let db = Matchdb.prepare (Libraries.lib2_like ()) in
       List.for_all
         (fun mode ->
           let seq = Mapper.map mode db g in
-          let am = Arena_map.map ~subject:g mode db a in
+          let am, _ = Parmap.map_arena mode db a in
           seq.Mapper.labels = am.Mapper.labels
           && same_best seq.Mapper.best am.Mapper.best
           && same_netlist seq.Mapper.netlist am.Mapper.netlist
           && Check.audit_result ~rounds:4 g am = [])
         modes)
-
-(* Three-way parity on random circuits: parallel-arena =
-   sequential-arena = boxed Mapper, across jobs x cache. *)
-let qc_parallel_arena =
-  QCheck.Test.make ~count:8
-    ~name:"parallel arena = sequential arena = boxed on random circuits"
-    QCheck.(make ~print:string_of_int Gen.(int_bound 10_000))
-    (fun seed ->
-      let net = Generators.random_dag ~seed ~inputs:8 ~outputs:4 ~nodes:70 () in
-      let g = Subject.of_network net in
-      let a = Arena.of_subject g in
-      let db = Matchdb.prepare (Libraries.lib2_like ()) in
-      List.for_all
-        (fun mode ->
-          let boxed = Mapper.map mode db g in
-          List.for_all
-            (fun cache ->
-              let am = Arena_map.map ~cache ~subject:g mode db a in
-              am.Mapper.labels = boxed.Mapper.labels
-              && List.for_all
-                   (fun jobs ->
-                     let par, _ =
-                       Parmap.map_arena ~jobs ~cache ~subject:g mode db a
-                     in
-                     par.Mapper.labels = am.Mapper.labels
-                     && same_best par.Mapper.best am.Mapper.best
-                     && same_netlist par.Mapper.netlist am.Mapper.netlist)
-                   [ 1; 2; 4 ])
-            [ true; false ])
-        modes)
-
-(* pi_arrival must flow through the arena labeler unchanged. *)
-let test_pi_arrival () =
-  let net = Generators.carry_lookahead_adder 8 in
-  let g = Subject.of_network net in
-  let a = Arena.of_subject g in
-  let db = Matchdb.prepare (Libraries.lib44_1_like ()) in
-  let arr pi = float_of_int (pi mod 5) *. 0.7 in
-  let seq_labels, seq_best, seq_tried =
-    Mapper.label ~pi_arrival:arr Mapper.Dag db g
-  in
-  let labels, best, tried = Arena_map.label ~pi_arrival:arr Mapper.Dag db a in
-  let labels_arr =
-    Array.init (Bigarray.Array1.dim labels) (Bigarray.Array1.get labels)
-  in
-  check tbool "pi_arrival labels" true (seq_labels = labels_arr);
-  check tbool "pi_arrival best" true (same_best seq_best best);
-  check tbool "pi_arrival tried" true (seq_tried = tried)
 
 let test_unmappable () =
   let inv_only =
@@ -497,7 +517,7 @@ let test_unmappable () =
   let a = Arena.Builder.finish b in
   let db = Matchdb.prepare inv_only in
   check tbool "Unmappable raises" true
-    (match Arena_map.label Mapper.Dag db a with
+    (match Parmap.map_arena ~jobs:1 Mapper.Dag db a with
      | _ -> false
      | exception Mapper.Unmappable _ -> true)
 
@@ -518,16 +538,14 @@ let test_deep_chain_100k () =
   let _ = Arena.level_ranges a in
   let db = Matchdb.prepare (Libraries.minimal ()) in
   let seq = Mapper.map Mapper.Dag db g in
-  let am = Arena_map.map ~subject:g Mapper.Dag db a in
-  check_same_result "chain100k" seq am;
   check tbool "chain100k audit clean" true
-    (Check.audit_result ~rounds:2 g am = []);
+    (Check.audit_result ~rounds:2 g seq = []);
   (* Chunking stress: 100k levels of width ~1 through the parallel
      labeler — every level is below the fan-out threshold, so the
      whole sweep must run on the calling domain with zero cursor
      traffic, no recursion on the depth, and bit-identical output. *)
   let par, stats = Parmap.map_arena ~jobs:4 ~subject:g Mapper.Dag db a in
-  check_par_arena "chain100k jobs=4" am par;
+  check_same_result "chain100k jobs=4" seq par;
   check tint "chain100k no parallel levels" 0 stats.Parmap.parallel_levels;
   check tint "chain100k no chunks" 0 stats.Parmap.chunks;
   check tbool "chain100k one timing per level" true
@@ -543,7 +561,7 @@ let test_soc_end_to_end () =
   check tbool "soc arena = subject" true (same_arena a (Arena.of_subject g));
   let db = Matchdb.prepare (Libraries.lib2_like ()) in
   let seq = Mapper.map Mapper.Dag db g in
-  let am = Arena_map.map ~subject:g Mapper.Dag db a in
+  let am, _ = Parmap.map_arena ~jobs:2 Mapper.Dag db a in
   check_same_result "soc60k" seq am;
   check tbool "soc60k audit clean" true
     (Check.audit_result ~rounds:2 g am = [])
@@ -558,18 +576,19 @@ let million_case name build =
       (Arena.num_nodes a >= 1_000_000);
     let g = Arena.to_subject a in
     let db = Matchdb.prepare (Libraries.minimal ()) in
-    let am = Arena_map.map ~subject:g Mapper.Dag db a in
+    let seq = Mapper.map Mapper.Dag db g in
     (* Satellite contract: Check.lint + delay audit, no stack
        overflow. (Functional sim is exercised at the 60k tier.) *)
     check tbool (name ^ " structural") true
-      (Check.structural am.Mapper.netlist = []);
+      (Check.structural seq.Mapper.netlist = []);
     check tbool (name ^ " delay audit") true
-      (Check.delay ~predicted:(Mapper.predicted_arrivals am) am.Mapper.netlist
+      (Check.delay ~predicted:(Mapper.predicted_arrivals seq)
+         seq.Mapper.netlist
        = []);
     (* The 4-domain labeler must survive the same scale and agree
        bit-for-bit, and its cover must pass the same audits. *)
     let par, _ = Parmap.map_arena ~jobs:4 ~subject:g Mapper.Dag db a in
-    check_par_arena (name ^ " jobs=4") am par;
+    check_same_result (name ^ " jobs=4") seq par;
     check tbool (name ^ " jobs=4 structural") true
       (Check.structural par.Mapper.netlist = []);
     check tbool (name ^ " jobs=4 delay audit") true
@@ -600,16 +619,14 @@ let () =
         [ Alcotest.test_case "levels/fanouts/by_level/ranges" `Quick
             test_derived_arrays ] );
       ( "differential",
-        [ Alcotest.test_case "sequential matrix" `Quick test_matrix_sequential;
+        [ Alcotest.test_case "sequential matrix" `Quick test_golden_sequential;
           Alcotest.test_case "parallel matrix jobs 1/2/4" `Quick
-            test_matrix_parallel;
+            test_golden_parallel;
           Alcotest.test_case "parallel-arena matrix jobs 1/2/4" `Quick
-            test_matrix_parallel_arena;
-          Alcotest.test_case "to_subject path" `Quick test_map_without_subject;
-          Alcotest.test_case "supergate library" `Quick test_matrix_super;
+            test_golden_arena;
+          Alcotest.test_case "to_subject path" `Quick test_golden_to_subject;
+          Alcotest.test_case "supergate library" `Quick test_golden_super;
           QCheck_alcotest.to_alcotest qc_differential;
-          QCheck_alcotest.to_alcotest qc_parallel_arena;
-          Alcotest.test_case "pi_arrival passthrough" `Quick test_pi_arrival;
           Alcotest.test_case "Unmappable propagates" `Quick test_unmappable ] );
       ( "scale",
         [ Alcotest.test_case "100k-deep chain" `Quick test_deep_chain_100k;

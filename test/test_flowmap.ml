@@ -241,38 +241,6 @@ let test_bigger_circuit_smoke () =
   check tbool "labels consistent" true (Flowmap.check_labels_optimal cover);
   check tbool "depth positive" true (Flowmap.depth cover > 0)
 
-let test_label_arena_differential () =
-  (* Arena-native labeling must equal the Subject path's labels
-     element-for-element, across circuits and k. *)
-  let circuits =
-    [ Generators.parity 8;
-      Generators.ripple_adder 6;
-      Generators.kogge_stone_adder 8;
-      Generators.mux_tree 3;
-      Generators.random_dag ~seed:11 ~inputs:8 ~outputs:4 ~nodes:80 ();
-      Iscas_like.c880_like () ]
-  in
-  List.iter
-    (fun net ->
-      let g = Subject.of_network net in
-      let a = Dagmap_core.Arena.of_subject g in
-      List.iter
-        (fun k ->
-          let expected = (Flowmap.map ~k g).Flowmap.labels in
-          let got = Flowmap.label_arena ~k a in
-          check tbool
-            (Printf.sprintf "labels equal (k=%d, %d nodes)" k
-               (Subject.num_nodes g))
-            true (expected = got))
-        [ 3; 4; 6 ])
-    circuits;
-  Alcotest.check_raises "k=1 rejected"
-    (Invalid_argument "Flowmap.label_arena: k must be >= 2") (fun () ->
-      ignore
-        (Flowmap.label_arena ~k:1
-           (Dagmap_core.Arena.of_subject
-              (Subject.of_network (Generators.parity 4)))))
-
 let () =
   Alcotest.run "flowmap"
     [ ( "maxflow",
@@ -291,6 +259,4 @@ let () =
           Alcotest.test_case "to_network" `Quick test_to_network_roundtrip;
           Alcotest.test_case "deep chain" `Quick test_deep_chain_cover;
           Alcotest.test_case "k too small" `Quick test_k_too_small_rejected;
-          Alcotest.test_case "c880 smoke" `Quick test_bigger_circuit_smoke;
-          Alcotest.test_case "arena labels" `Quick
-            test_label_arena_differential ] ) ]
+          Alcotest.test_case "c880 smoke" `Quick test_bigger_circuit_smoke ] ) ]
